@@ -33,14 +33,23 @@ def xy_path(topology: NoCTopology, src: int, dst: int) -> list[int]:
     """
     x, y = topology.coords(src)
     dst_x, dst_y = topology.coords(dst)
+    if not topology.torus:
+        # Mesh: one straight run along the row, then one along the column.
+        width = topology.width
+        corner = src + dst_x - x
+        x_step = 1 if dst_x >= x else -1
+        y_step = width if dst_y >= y else -width
+        path = list(range(src, corner + x_step, x_step))
+        path.extend(range(corner + y_step, dst + y_step, y_step))
+        return path
     path = [src]
     step = _axis_step(x, dst_x, topology.width, topology.torus)
     while x != dst_x:
-        x = (x + step) % topology.width if topology.torus else x + step
+        x = (x + step) % topology.width
         path.append(topology.node_at(x, y))
     step = _axis_step(y, dst_y, topology.height, topology.torus)
     while y != dst_y:
-        y = (y + step) % topology.height if topology.torus else y + step
+        y = (y + step) % topology.height
         path.append(topology.node_at(x, y))
     return path
 

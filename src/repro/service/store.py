@@ -315,8 +315,18 @@ class ResultStore:
             if key in self._inflight:
                 self._counts["inflight_waits"] += 1
                 return "wait", None
-            self._inflight[key] = _InFlight()
+            entry = self._inflight[key] = _InFlight()
+        # An owner may also have published and left between the read and
+        # the claim: read once more so the key is not computed twice.
+        data = self._read(key)
+        if data is None:
             return "owned", None
+        with self._lock:
+            self._inflight.pop(key, None)
+            self._counts["hits"] += 1
+        entry.data = data
+        entry.event.set()
+        return "hit", data
 
     def publish(self, key: str, data: bytes, cache: bool = True) -> None:
         """Complete an owned key: hand ``data`` to waiters, persist if asked.

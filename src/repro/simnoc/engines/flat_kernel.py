@@ -5,16 +5,25 @@ compiled kernels in :mod:`repro.simnoc.engines.kernels` (and their C
 mirror).  Building one
 
 1. reuses :class:`repro.simnoc.engines.vector._FlatState` for the wiring
-   flatten (port indexing, credits, routes, freshness guards — the exact
-   arrays the interpreted loops run on), then
+   flatten (port indexing, credits, freshness guards, and the sorted
+   port-key table ``node * (N + 1) + (to_key + 1)`` that maps a route hop
+   to its output port — the exact arrays the interpreted loops run on),
+   then
 2. *precomputes the entire injection schedule*: every shipped traffic
    source is open-loop (its packet sequence depends only on the cycle and
    its own RNG, never on network state), so the builder replays the
    engines' event-heap loop up front — identical pop order, identical
-   packet ids, identical ``measured`` flags — and freezes the result into
-   per-node flit streams, then
+   packet ids, identical ``measured`` flags.  The replay keeps per-packet
+   work to a few list appends: every path goes onto one flat hop list, with
+   its length recorded; no per-packet route list is built, then
 3. converts everything to int64/float64 numpy arrays in the canonical
    :data:`ARG_FIELDS` order shared by the Python, numba and C kernels.
+   Routes come out of a single array gather
+   (``_FlatState.gather_routes``): ``route_off`` is the cumulative sum of
+   the path lengths, and ``route_val`` one ``searchsorted`` of every
+   (hop, next hop or ``LOCAL``) key against the port-key table — memory
+   linear in the port count, no per-node-pair table.  The per-node flit
+   streams and the trace-buffer bound are array expressions too.
 
 After a backend has advanced the program, :meth:`KernelProgram.finish`
 replays the observable effects back onto the model objects (trace events,
@@ -183,21 +192,27 @@ class KernelProgram:
         next_packet_id = sim.next_packet_id
         all_packets_append = sim.all_packets.append
         # Registration inlined from _FlatState.offer_packet, minus the
-        # per-flit NI deque (the kernel reads flat flit streams instead;
-        # they are expanded vectorized below).
-        resolve_route = state.resolve_route
+        # per-flit NI deque and the per-packet route list: paths are
+        # concatenated into one flat hop list and resolved to output ports
+        # in a single gather below, as are the flit streams.
         num_vcs = state.num_vcs
         pkt_objs_append = state.pkt_objs.append
-        pkt_outs_append = state.pkt_outs.append
-        pkt_last_append = state.pkt_last.append
-        pkt_vc_append = state.pkt_vc.append
-        node_slots: list[list[int]] = [[] for _ in range(len(state.local_in))]
+        hops: list[int] = []
+        hops_extend = hops.extend
+        hop_counts: list[int] = []
+        hop_counts_append = hop_counts.append
+        pkt_last: list[int] = []
+        pkt_last_append = pkt_last.append
+        pkt_vc: list[int] = []
+        pkt_vc_append = pkt_vc.append
+        pkt_src: list[int] = []
+        pkt_src_append = pkt_src.append
         pkt_create: list[int] = []
+        pkt_create_append = pkt_create.append
         event_heap = [
             (source.next_event_cycle, index) for index, source in enumerate(sources)
         ]
         heapq.heapify(event_heap)
-        slot = 0
         while event_heap and event_heap[0][0] < total_cycles:
             cycle, index = heapq.heappop(event_heap)
             source = sources[index]
@@ -207,12 +222,13 @@ class KernelProgram:
                 vc = packet.commodity_index % num_vcs
                 packet.vc = vc
                 pkt_objs_append(packet)
-                pkt_outs_append(resolve_route(packet.path, packet.packet_id))
+                path = packet.path
+                hops_extend(path)
+                hop_counts_append(len(path))
                 pkt_last_append(packet.num_flits - 1)
                 pkt_vc_append(vc)
-                node_slots[packet.src_node].append(slot)
-                pkt_create.append(cycle)
-                slot += 1
+                pkt_src_append(packet.src_node)
+                pkt_create_append(cycle)
             heapq.heappush(event_heap, (source.next_event_cycle, index))
 
         # --- freeze into kernel arrays ------------------------------------
@@ -252,41 +268,22 @@ class KernelProgram:
         self.q_head = np.zeros(num_lanes, dtype=i8)
         self.q_len = np.zeros(num_lanes, dtype=i8)
         self.pkt_create = np.array(pkt_create, dtype=i8)
-        self.pkt_last = np.array(state.pkt_last, dtype=i8)
-        self.pkt_vcl = np.array(state.pkt_vc, dtype=i8)
-        route_off = np.zeros(P + 1, dtype=i8)
-        route_val: list[int] = []
-        for slot in range(P):
-            route_val.extend(state.pkt_outs[slot])
-            route_off[slot + 1] = len(route_val)
-        self.route_off = route_off
-        self.route_val = np.array(route_val, dtype=i8)
-        # Vectorized flit-stream expansion: packet k contributes flits
-        # (k, 0..num_flits-1) at its source node, in creation order.
-        ni_off = np.zeros(size + 1, dtype=i8)
-        slot_parts: list[np.ndarray] = []
-        seq_parts: list[np.ndarray] = []
-        flits_total = 0
-        num_flits_arr = self.pkt_last + 1
-        for node in range(size):
-            slots = np.asarray(node_slots[node], dtype=i8)
-            if len(slots):
-                counts = num_flits_arr[slots]
-                total = int(counts.sum())
-                ends = np.cumsum(counts)
-                slot_parts.append(np.repeat(slots, counts))
-                seq_parts.append(
-                    np.arange(total, dtype=i8) - np.repeat(ends - counts, counts)
-                )
-                flits_total += total
-            ni_off[node + 1] = flits_total
+        self.pkt_last = np.array(pkt_last, dtype=i8)
+        self.pkt_vcl = np.array(pkt_vc, dtype=i8)
+        hop_count_arr = np.array(hop_counts, dtype=i8)
+        self.route_off, self.route_val = state.gather_routes(hops, hop_count_arr)
+        # Flit streams: packet k contributes flits (k, 0..num_flits-1) at
+        # its source node; a stable sort by source keeps creation order
+        # within each node's stream.
+        src = np.array(pkt_src, dtype=i8)
+        by_node = np.argsort(src, kind="stable")
+        counts = self.pkt_last[by_node] + 1
+        ends = np.zeros(P + 1, dtype=i8)
+        np.cumsum(counts, out=ends[1:])
+        self.ni_slot = np.repeat(by_node, counts)
+        self.ni_seq = np.arange(ends[-1], dtype=i8) - np.repeat(ends[:-1], counts)
+        ni_off = ends[np.searchsorted(src[by_node], np.arange(size + 1))]
         self.ni_off = ni_off
-        if slot_parts:
-            self.ni_slot = np.concatenate(slot_parts)
-            self.ni_seq = np.concatenate(seq_parts)
-        else:
-            self.ni_slot = np.zeros(0, dtype=i8)
-            self.ni_seq = np.zeros(0, dtype=i8)
         self.ni_ptr = ni_off[:-1].copy()
         self.pkt_injected = np.full(P, -1, dtype=i8)
         self.pkt_delivered = np.full(P, -1, dtype=i8)
@@ -300,12 +297,7 @@ class KernelProgram:
             trace_cap = 0
         else:
             remaining = trace.max_events - len(trace.events)
-            bound = int(
-                sum(
-                    (state.pkt_last[slot] + 1) * len(state.pkt_outs[slot])
-                    for slot in range(P)
-                )
-            )
+            bound = int(np.dot(self.pkt_last + 1, hop_count_arr))
             trace_cap = max(0, min(remaining, bound))
         self.trace_cap = trace_cap
         self.tr_node = np.zeros(trace_cap, dtype=i8)

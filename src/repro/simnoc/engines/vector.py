@@ -186,6 +186,14 @@ def run_replicas(sims: list["Simulator"]) -> list[BaseException | None]:
     return errors
 
 
+def _missing_port_error(node: int, to_key: int, packet_id: int) -> SimulationError:
+    """The typed error for a route hop no output port serves."""
+    toward = "LOCAL" if to_key == LOCAL else to_key
+    return SimulationError(
+        f"node {node} has no output toward {toward} (packet {packet_id})"
+    )
+
+
 class _FlatState:
     """The flattened network: every dynamic quantity lives in a flat array.
 
@@ -217,7 +225,6 @@ class _FlatState:
                 out_index[(node, key)] = len(out_specs)
                 out_specs.append((node, key))
         self.in_index = in_index
-        self.out_index = out_index
         self.out_specs = out_specs
 
         num_in = len(in_specs)
@@ -287,8 +294,23 @@ class _FlatState:
         self.out_caps = np.maximum(1.0, rates) + 1.0
         self.out_tokens = tokens
 
-        # --- per-node views (lists indexed by node id) --------------------
+        # --- port-key table: route hop (node, to_key) -> output port ------
+        # Key ``node * (size + 1) + (to_key + 1)``, sorted so the kernel
+        # tier resolves every route with one vectorized ``searchsorted``;
+        # the interpreted tier probes the same keys one hop at a time.
+        # Memory stays linear in the port count.
         size = max(self.nodes) + 1
+        self.key_stride = size + 1
+        keys = np.array(
+            [node * self.key_stride + to_key + 1 for node, to_key in out_specs],
+            dtype=np.int64,
+        )
+        order = np.argsort(keys)
+        self.port_keys = keys[order]
+        self.port_outs = order
+        self._port_of_key = dict(zip(self.port_keys.tolist(), order.tolist()))
+
+        # --- per-node views (lists indexed by node id) --------------------
         self.node_ins: list = [()] * size
         self.node_outs: list = [()] * size
         self.local_in: list[int] = [-1] * size
@@ -311,33 +333,70 @@ class _FlatState:
         self.pkt_outs: list[list[int]] = []
         self.pkt_last: list[int] = []
         self.pkt_vc: list[int] = []
-        #: Memoized path -> flat-output-index route (flows reuse paths).
-        self.route_cache: dict[tuple[int, ...], list[int]] = {}
         #: Last cycle the (vectorized) token refill ran; written back to the
         #: ports so a consumed network cannot silently be re-flattened.
         self.final_refill = -1
 
     # ------------------------------------------------------------------
     def resolve_route(self, path, packet_id: int) -> list[int]:
-        """The path as flat output-port indices (memoized per path tuple)."""
-        key = tuple(path)
-        outs = self.route_cache.get(key)
-        if outs is None:
-            outs = []
-            out_index = self.out_index
-            last = len(path) - 1
-            for hop, node in enumerate(path):
-                to_key = LOCAL if hop == last else path[hop + 1]
-                flat = out_index.get((node, to_key))
-                if flat is None:
-                    raise SimulationError(
-                        f"node {node} has no output toward "
-                        f"{'LOCAL' if to_key == LOCAL else to_key} "
-                        f"(packet {packet_id})"
-                    )
-                outs.append(flat)
-            self.route_cache[key] = outs
+        """The path as flat output-port indices, read off the port-key table.
+
+        Raises:
+            SimulationError: when a hop has no output port toward the next
+                node (or the path names a node outside the router table).
+        """
+        port_of_key = self._port_of_key
+        stride = self.key_stride
+        size = stride - 1
+        outs = []
+        for node, to_key in zip(path, [*path[1:], LOCAL]):
+            if 0 <= node < size and LOCAL <= to_key < size:
+                port = port_of_key.get(node * stride + to_key + 1)
+                if port is not None:
+                    outs.append(port)
+                    continue
+            raise _missing_port_error(node, to_key, packet_id)
         return outs
+
+    def gather_routes(self, hops: list[int], hop_counts: np.ndarray):
+        """Resolve many paths to output ports in one array gather.
+
+        ``hops`` is the paths of ``pkt_objs`` concatenated in creation
+        order and ``hop_counts[k]`` the length of path ``k``.  Each hop is
+        keyed like :meth:`resolve_route` keys it and looked up with one
+        ``searchsorted``.  Returns the CSR pair ``(route_off, route_val)``:
+        path ``k``'s output ports are ``route_val[route_off[k]:route_off[k + 1]]``.
+
+        Raises:
+            SimulationError: the :meth:`resolve_route` message, naming the
+                first packet in creation order with an unserved hop.
+        """
+        nodes = np.array(hops, dtype=np.int64)
+        route_off = np.zeros(len(hop_counts) + 1, dtype=np.int64)
+        np.cumsum(hop_counts, out=route_off[1:])
+        to_keys = np.empty_like(nodes)
+        to_keys[:-1] = nodes[1:]
+        to_keys[route_off[1:][hop_counts > 0] - 1] = LOCAL
+        stride = self.key_stride
+        size = stride - 1
+        keys = nodes * stride + to_keys + 1
+        port_keys = self.port_keys
+        at = np.searchsorted(port_keys, keys)
+        np.minimum(at, len(port_keys) - 1, out=at)
+        found = (
+            (port_keys[at] == keys)
+            & (nodes >= 0)
+            & (nodes < size)
+            & (to_keys >= LOCAL)
+            & (to_keys < size)
+        )
+        if not found.all():
+            hop = int(np.argmin(found))
+            slot = int(np.searchsorted(route_off, hop, side="right")) - 1
+            raise _missing_port_error(
+                int(nodes[hop]), int(to_keys[hop]), self.pkt_objs[slot].packet_id
+            )
+        return route_off, self.port_outs[at]
 
     def offer_packet(self, packet) -> int:
         """Register a packet: resolve its route once, queue its flits."""

@@ -50,6 +50,17 @@ def synthetic_flow_index(topology: NoCTopology, src: int, dst: int) -> int:
     return src * topology.num_nodes + dst
 
 
+def _uniform_other(rng: random.Random, num_nodes: int, src: int) -> int:
+    """A node drawn uniformly from every node but ``src``.
+
+    One ``randrange(num_nodes - 1)`` draw, shifted past ``src`` — the same
+    draw and the same destination as indexing the ascending list of the
+    other nodes, without building that list.
+    """
+    k = rng.randrange(num_nodes - 1)
+    return k + (k >= src)
+
+
 class SyntheticSource:
     """Base class: one injecting node, Poisson packet starts, XY routes.
 
@@ -143,12 +154,11 @@ class UniformRandomSource(SyntheticSource):
 
     def __init__(self, topology, src_node, injection_rate, config) -> None:
         super().__init__(topology, src_node, injection_rate, config)
-        self._others = [n for n in topology.nodes if n != src_node]
-        if not self._others:
+        if topology.num_nodes < 2:
             raise SimulationError("uniform traffic needs at least two nodes")
 
     def _choose_destination(self) -> int:
-        return self._others[self.rng.randrange(len(self._others))]
+        return _uniform_other(self.rng, self.topology.num_nodes, self.src_node)
 
 
 class TransposeSource(SyntheticSource):
@@ -185,13 +195,12 @@ class OnOffSource(SyntheticSource):
 
     def __init__(self, topology, src_node, injection_rate, config) -> None:
         super().__init__(topology, src_node, injection_rate, config)
-        self._others = [n for n in topology.nodes if n != src_node]
-        if not self._others:
+        if topology.num_nodes < 2:
             raise SimulationError("on-off traffic needs at least two nodes")
         self._remaining_in_burst = 0
 
     def _choose_destination(self) -> int:
-        return self._others[self.rng.randrange(len(self._others))]
+        return _uniform_other(self.rng, self.topology.num_nodes, self.src_node)
 
     def _advance(self, cycle: int) -> None:
         if self._remaining_in_burst == 0:

@@ -373,6 +373,72 @@ class TestAutoEngineEquivalence:
         assert_reports_identical(run("auto"), run("cycle"))
 
 
+def _split_trace_network(config):
+    """The DSP filter on its slow-link mesh under NMAPTM: several
+    commodities split over more than one minimum path."""
+    from repro.mapping.nmap_split import nmap_with_splitting
+
+    app = dsp_filter()
+    mesh = dsp_mesh(link_bandwidth=500.0)
+    result = nmap_with_splitting(app, mesh, quadrant_only=True)
+    commodities = build_commodities(app, result.mapping)
+    network = build_network(mesh, commodities, result.routing, config)
+    assert any(len(source.paths) > 1 for source in network.sources)
+    return network
+
+
+#: name -> (num_vcs, network builder taking the SimConfig).
+_KERNEL_SCENARIOS = {
+    "mesh5x7-uniform": (
+        1,
+        lambda config: build_synthetic_network(
+            NoCTopology.mesh(5, 7, link_bandwidth=1600.0), config, "uniform", 0.30
+        ),
+    ),
+    "torus4x4-vc2-uniform": (
+        2,
+        lambda config: build_synthetic_network(
+            NoCTopology.torus_grid(4, 4, link_bandwidth=1600.0),
+            config,
+            "uniform",
+            0.15,
+        ),
+    ),
+    "mesh4x4-transpose": (
+        1,
+        lambda config: build_synthetic_network(
+            NoCTopology.mesh(4, 4, link_bandwidth=1600.0), config, "transpose", 0.30
+        ),
+    ),
+    "dsp-nmap-tm-split-trace": (1, _split_trace_network),
+}
+
+#: scenario name -> (report, trace events) from the cycle engine.
+_KERNEL_REFS: dict = {}
+
+
+def _run_kernel_scenario(scenario, engine):
+    num_vcs, build = _KERNEL_SCENARIOS[scenario]
+    config = SimConfig(
+        warmup_cycles=200,
+        measure_cycles=1_200,
+        drain_cycles=400,
+        seed=3,
+        num_vcs=num_vcs,
+        vc_buffer_depth=4 if num_vcs > 1 else None,
+    )
+    recorder = TraceRecorder(max_events=10**6)
+    report = Simulator(build(config), trace=recorder, engine=engine).run()
+    assert report.packets_delivered > 0
+    return report, recorder.events
+
+
+def _kernel_reference(scenario):
+    if scenario not in _KERNEL_REFS:
+        _KERNEL_REFS[scenario] = _run_kernel_scenario(scenario, "cycle")
+    return _KERNEL_REFS[scenario]
+
+
 class TestKernelTierEquivalence:
     """Every rung of the JIT ladder is bit-identical to the cycle engine.
 
@@ -420,6 +486,17 @@ class TestKernelTierEquivalence:
         ref_report, ref_events = run("cycle")
         assert_reports_identical(fast_report, ref_report)
         assert fast_events == ref_events
+
+    @pytest.mark.parametrize("jit_mode", MODES, indirect=True)
+    @pytest.mark.parametrize("scenario", sorted(_KERNEL_SCENARIOS))
+    def test_wider_scenarios_match_cycle(self, jit_mode, scenario):
+        """Beyond uniform 4x4: a non-square mesh (routes run in all four
+        directions), a 2-VC torus, transpose traffic and multi-path
+        split-traffic routes — reports and traces identical to ``cycle``."""
+        ref_report, ref_events = _kernel_reference(scenario)
+        report, events = _run_kernel_scenario(scenario, "vector")
+        assert_reports_identical(report, ref_report)
+        assert events == ref_events
 
     @pytest.mark.parametrize("jit_mode", MODES, indirect=True)
     def test_replica_batch_matches_one_at_a_time(self, jit_mode):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import GraphError
 from repro.graphs.commodities import Commodity
+from repro.graphs.topology import NoCTopology
 from repro.routing.dimension_ordered import xy_path, xy_routing
 
 
@@ -42,6 +44,36 @@ class TestXyPath:
     def test_torus_wrap_y(self, torus3x3):
         path = xy_path(torus3x3, 0, 6)
         assert path == [0, 6]
+
+
+def _stepwise_xy(topology, src, dst):
+    """Reference walk: one unit step at a time, X first, then Y."""
+    x, y = topology.coords(src)
+    dst_x, dst_y = topology.coords(dst)
+    path = [src]
+    while x != dst_x:
+        x += 1 if dst_x > x else -1
+        path.append(topology.node_at(x, y))
+    while y != dst_y:
+        y += 1 if dst_y > y else -1
+        path.append(topology.node_at(x, y))
+    return path
+
+
+class TestXyPathClosedForm:
+    """The mesh path is built from two ``range`` runs; it must equal the
+    unit-step walk for every pair, in all four directions."""
+
+    @pytest.mark.parametrize("width,height", [(1, 6), (6, 1), (3, 3), (5, 7)])
+    def test_matches_stepwise_walk_for_every_pair(self, width, height):
+        mesh = NoCTopology.mesh(width, height)
+        for src in mesh.nodes:
+            for dst in mesh.nodes:
+                assert xy_path(mesh, src, dst) == _stepwise_xy(mesh, src, dst)
+
+    def test_rejects_nodes_off_the_mesh(self, mesh3x3):
+        with pytest.raises(GraphError):
+            xy_path(mesh3x3, 0, 9)
 
 
 class TestXyRouting:

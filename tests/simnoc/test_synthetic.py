@@ -79,6 +79,42 @@ class TestUniform:
             UniformRandomSource(mesh4x4, 0, 1.5, SimConfig())
 
 
+def _with_listed_others(source_cls):
+    """The source with its destination drawn by indexing the ascending list
+    of the other nodes, one ``randrange(len(others))`` draw each."""
+
+    class Listed(source_cls):
+        def _choose_destination(self):
+            others = [n for n in self.topology.nodes if n != self.src_node]
+            return others[self.rng.randrange(len(others))]
+
+    return Listed
+
+
+class TestDestinationDraw:
+    """The shifted draw ``k + (k >= src)`` replays the listed-others draw:
+    same RNG consumption, same destinations, packet for packet."""
+
+    @pytest.mark.parametrize("source_cls", [UniformRandomSource, OnOffSource])
+    @pytest.mark.parametrize("src", [0, 7, 34])
+    def test_same_sequence_as_listed_others(self, source_cls, src):
+        mesh = NoCTopology.mesh(5, 7)
+        config = SimConfig(seed=11, mean_burst_packets=4.0)
+
+        def stream(cls):
+            packets = _drain_source(cls(mesh, src, 0.3, config), 10_000)
+            return [(p.created_cycle, p.dst_node) for p in packets]
+
+        expected = stream(_with_listed_others(source_cls))
+        assert len(expected) > 100
+        assert stream(source_cls) == expected
+
+    @pytest.mark.parametrize("source_cls", [UniformRandomSource, OnOffSource])
+    def test_single_node_rejected(self, source_cls):
+        with pytest.raises(SimulationError, match="at least two nodes"):
+            source_cls(NoCTopology.mesh(1, 1), 0, 0.1, SimConfig())
+
+
 class TestTranspose:
     def test_fixed_partner(self, mesh4x4):
         source = TransposeSource(mesh4x4, mesh4x4.node_at(1, 3), 0.2, SimConfig())

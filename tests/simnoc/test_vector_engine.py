@@ -8,6 +8,8 @@ threshold ``auto`` dispatches on.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -26,6 +28,7 @@ from repro.simnoc.engines.auto import (
 )
 from repro.simnoc.engines.jit import resolve_backend
 from repro.simnoc.models import register_router_model
+from repro.simnoc.traffic import BurstyTrafficSource
 
 
 def _network(rate: float, **config_kwargs):
@@ -86,6 +89,70 @@ class TestVectorEngineGuards:
                     port.flits_carried
                     == reference.routers[node].outputs[key].flits_carried
                 )
+
+
+class TestMissingPortError:
+    """A route hop with no output port is a typed error on every tier.
+
+    The kernel tier resolves all routes in one array gather after the
+    injection replay; it must still name the first offending packet in
+    creation order, exactly as the interpreted tier does when it registers
+    that packet.
+    """
+
+    MODES = ("off", "py", "c")
+
+    @staticmethod
+    def _network(bad_paths):
+        network = _network(0.05, seed=9)
+        config = network.config
+        paths = [[0, 1, 2]] + bad_paths
+        network.sources = [
+            BurstyTrafficSource(
+                commodity_index=index,
+                src_node=path[0],
+                dst_node=path[-1],
+                rate_flits_per_cycle=0.1,
+                paths=[(path, 1.0)],
+                config=config,
+                rng=random.Random(index),
+            )
+            for index, path in enumerate(paths)
+        ]
+        return network
+
+    @pytest.mark.parametrize(
+        "offenders",
+        [
+            # path -> its first hop with no output port (3x3 mesh)
+            {(0, 4): (0, 4)},  # skips a link
+            {(3, 4, 8): (4, 8), (0, 4): (0, 4)},  # the earlier packet wins
+            # toward a node outside the router table (whose port key, if
+            # unchecked, would alias node 3's LOCAL port)
+            {(1, 2, 9): (2, 9)},
+            {(12, 13): (12, 13)},  # starts outside the router table
+        ],
+    )
+    def test_same_message_on_every_tier(self, monkeypatch, offenders):
+        monkeypatch.delenv("REPRO_NO_JIT", raising=False)
+        messages = {}
+        for mode in self.MODES:
+            monkeypatch.setenv("REPRO_JIT", mode)
+            if mode != "off" and resolve_backend()[0] is None:
+                continue
+            sim = Simulator(
+                self._network([list(path) for path in offenders]), engine="vector"
+            )
+            with pytest.raises(SimulationError) as excinfo:
+                sim.run()
+            first = next(p for p in sim.all_packets if tuple(p.path) in offenders)
+            node, toward = offenders[tuple(first.path)]
+            assert str(excinfo.value) == (
+                f"node {node} has no output toward {toward} "
+                f"(packet {first.packet_id})"
+            )
+            messages[mode] = str(excinfo.value)
+        assert len(set(messages.values())) == 1
 
 
 class TestAutoPolicy:
